@@ -379,3 +379,94 @@ func TestMeterOnTransitionFiresOnChangeOnly(t *testing.T) {
 	})
 	m.Transition(Rx)
 }
+
+// TestMeterOutOfRangeState pins the ledger's edges: a State outside
+// States reads as never entered, never appears in ByState, and is
+// rejected by every call that would ledger it.
+func TestMeterOutOfRangeState(t *testing.T) {
+	clk := &meterClock{}
+	m := NewMeter(Micaz(), clk.time)
+	m.Transition(Idle)
+	clk.now += time.Second
+	m.ChargeEnergy(Overhear, units.Millijoule)
+	for _, s := range []State{State(0), State(-1), Overhear + 1, State(99)} {
+		if got := m.TimeIn(s); got != 0 {
+			t.Errorf("TimeIn(%v) = %v, want 0", s, got)
+		}
+		if _, ok := m.ByState()[s]; ok {
+			t.Errorf("ByState holds %v", s)
+		}
+		for name, call := range map[string]func(){
+			"Transition":   func() { m.Transition(s) },
+			"ChargeEnergy": func() { m.ChargeEnergy(s, units.Joule) },
+			"SetFreeState": func() { m.SetFreeState(s, true) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%v) did not panic", name, s)
+					}
+				}()
+				call()
+			}()
+		}
+	}
+	if m.State() != Idle {
+		t.Errorf("State = %v after rejected transitions, want idle", m.State())
+	}
+}
+
+// Property: over random Transition/ChargeEnergy/SetFreeState sequences,
+// Total equals the sum of the Snapshot energies taken in slice order
+// (up to float rounding: the two sums group the same charges
+// differently), ByState holds no zero entries, and the per-state
+// residencies add up to the elapsed clock exactly.
+func TestMeterLedgerInvariants(t *testing.T) {
+	f := func(ops []uint16) bool {
+		clk := &meterClock{now: 5 * time.Millisecond}
+		start := clk.now
+		m := NewMeter(Micaz(), clk.time)
+		states := States()
+		for _, op := range ops {
+			s := states[int(op>>4)%len(states)]
+			switch op % 4 {
+			case 0, 1:
+				if s != Overhear {
+					m.Transition(s)
+				}
+			case 2:
+				m.ChargeEnergy(s, units.Energy(op%97)*units.Microjoule)
+			case 3:
+				m.SetFreeState(s, op&0x100 != 0)
+			}
+			clk.now += time.Duration(op%13) * time.Millisecond
+		}
+
+		var sum units.Energy
+		for _, e := range m.Snapshot() {
+			sum += e.Energy
+		}
+		if total := m.Total().Joules(); math.Abs(sum.Joules()-total) > 1e-12*math.Max(1, total) {
+			t.Logf("Total %v J, Snapshot sum %v J", total, sum.Joules())
+			return false
+		}
+		for s, e := range m.ByState() {
+			if e == 0 {
+				t.Logf("ByState holds zero entry for %v", s)
+				return false
+			}
+		}
+		var resident time.Duration
+		for _, s := range states {
+			resident += m.TimeIn(s)
+		}
+		if resident != clk.now-start {
+			t.Logf("residencies sum to %v, clock advanced %v", resident, clk.now-start)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}

@@ -35,6 +35,13 @@ func States() []State {
 	return []State{Off, WakingUp, Idle, Rx, Tx, Overhear}
 }
 
+// numStates sizes the meter's per-state ledger arrays, which are
+// indexed by State directly; index 0 is not a state and stays zero.
+const numStates = Overhear + 1
+
+// valid reports whether s is one of the States.
+func (s State) valid() bool { return s >= Off && s <= Overhear }
+
 // String returns the state name.
 func (s State) String() string {
 	switch s {
@@ -69,13 +76,13 @@ type Meter struct {
 	state   State
 	since   sim.Time
 	total   units.Energy
-	byState map[State]units.Energy
-	inState map[State]time.Duration
+	byState [numStates]units.Energy
+	inState [numStates]time.Duration
 	wakeups int
 
 	// Charging policy: the paper's "Sensor-ideal" model charges only
 	// tx/rx on sensor radios (idle/overhear free). Free states draw zero.
-	freeStates map[State]bool
+	freeStates [numStates]bool
 
 	// onTransition, when set, observes every effective state change.
 	// Nil costs a single pointer check per Transition — the trace
@@ -87,19 +94,26 @@ type Meter struct {
 // the clock's current time.
 func NewMeter(p Profile, clock func() sim.Time) *Meter {
 	return &Meter{
-		profile:    p,
-		clock:      clock,
-		state:      Off,
-		since:      clock(),
-		byState:    make(map[State]units.Energy),
-		inState:    make(map[State]time.Duration),
-		freeStates: make(map[State]bool),
+		profile: p,
+		clock:   clock,
+		state:   Off,
+		since:   clock(),
+	}
+}
+
+// mustBeValid panics on a State outside States: the ledger has no entry
+// for it, and only a bug can produce one.
+func mustBeValid(s State) {
+	if !s.valid() {
+		panic(fmt.Sprintf("energy: invalid power state %v", s))
 	}
 }
 
 // SetFreeState marks a state as drawing no energy (used by the
 // Sensor-ideal evaluation model which ignores sensor idling costs).
+// It panics if s is not one of the States.
 func (m *Meter) SetFreeState(s State, free bool) {
+	mustBeValid(s)
 	m.settle()
 	m.freeStates[s] = free
 }
@@ -118,8 +132,9 @@ func (m *Meter) SetOnTransition(fn func(from, to State)) { m.onTransition = fn }
 
 // Transition moves the radio to state s, charging for the residency in
 // the previous state. Transitioning Off -> WakingUp charges the profile's
-// fixed wake-up energy.
+// fixed wake-up energy. It panics if s is not one of the States.
 func (m *Meter) Transition(s State) {
+	mustBeValid(s)
 	m.settle()
 	if m.state == Off && s == WakingUp {
 		m.addEnergy(WakingUp, m.profile.Wakeup)
@@ -133,8 +148,10 @@ func (m *Meter) Transition(s State) {
 }
 
 // ChargeEnergy adds a fixed energy amount attributed to state s; used for
-// overhearing charges and externally computed costs.
+// overhearing charges and externally computed costs. It panics if s is
+// not one of the States.
 func (m *Meter) ChargeEnergy(s State, e units.Energy) {
+	mustBeValid(s)
 	m.settle()
 	m.addEnergy(s, e)
 }
@@ -145,19 +162,26 @@ func (m *Meter) Total() units.Energy {
 	return m.total
 }
 
-// ByState returns a copy of the per-state energy breakdown up to now.
+// ByState returns the per-state energy breakdown up to now, holding
+// only states that have been charged a non-zero amount.
 func (m *Meter) ByState() map[State]units.Energy {
 	m.settle()
-	out := make(map[State]units.Energy, len(m.byState))
-	for k, v := range m.byState {
-		out[k] = v
+	out := make(map[State]units.Energy)
+	for _, s := range States() {
+		if e := m.byState[s]; e != 0 {
+			out[s] = e
+		}
 	}
 	return out
 }
 
-// TimeIn returns the cumulative residency in state s up to now.
+// TimeIn returns the cumulative residency in state s up to now; zero
+// for a state never entered or not one of the States.
 func (m *Meter) TimeIn(s State) time.Duration {
 	m.settle()
+	if !s.valid() {
+		return 0
+	}
 	return m.inState[s]
 }
 
@@ -180,7 +204,7 @@ type StateSnapshot struct {
 // order is bit-stable across runs, unlike iterating the ByState map.
 func (m *Meter) Snapshot() []StateSnapshot {
 	m.settle()
-	out := make([]StateSnapshot, 0, len(m.byState))
+	out := make([]StateSnapshot, 0, numStates-1)
 	for _, s := range States() {
 		e, t := m.byState[s], m.inState[s]
 		if e == 0 && t == 0 {

@@ -5,29 +5,36 @@ import (
 	"time"
 
 	"bulktx/internal/params"
-	"bulktx/internal/sim"
 )
 
-// backendMatrix names every (event queue, neighbor index) combination
-// the simulator can run under. The scheduler backends and the lazy
-// spatial-hash index are pure performance substitutions: a fixed-seed
-// run must produce byte-identical Results under all of them.
+// withDenseNeighborIndex forces the radio channels to materialize their
+// full neighbor index at construction instead of memoizing rows from
+// the spatial hash on first use. The dense table is the oracle the lazy
+// index is held to; it costs O(N + edges) memory up front, so only
+// tests build it.
+func withDenseNeighborIndex(on bool) Option {
+	return func(s *Scenario) { s.denseIndex = on }
+}
+
+// backendMatrix names both neighbor indexes the simulator can run
+// under, each on the 4-ary heap scheduler, plus the "auto-lazy" arm: a
+// scenario built with no backend option at all, i.e. the default
+// configuration every production run gets. The lazy spatial-hash index
+// is a pure performance substitution: a fixed-seed run must produce
+// byte-identical Results under each arm.
 var backendMatrix = []struct {
-	name   string
-	policy sim.QueuePolicy
-	dense  bool
+	name string
+	opts []Option
 }{
-	{"heap-lazy", sim.QueueHeap, false},
-	{"heap-dense", sim.QueueHeap, true},
-	{"calendar-lazy", sim.QueueCalendar, false},
-	{"calendar-dense", sim.QueueCalendar, true},
-	{"auto-lazy", sim.QueueAuto, false},
+	{"heap-lazy", []Option{withDenseNeighborIndex(false)}},
+	{"heap-dense", []Option{withDenseNeighborIndex(true)}},
+	{"auto-lazy", nil},
 }
 
 // TestFingerprintMatrixAcrossBackends pins the PR 2 golden fingerprints
-// under every backend combination: swapping the 4-ary heap for the
-// calendar queue, or the dense eager neighbor table for the lazy
-// spatial-hash index, must not move a single byte of any Result.
+// under every arm of the matrix: swapping the dense eager neighbor table
+// for the lazy spatial-hash index must not move a single byte of any
+// Result.
 func TestFingerprintMatrixAcrossBackends(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -44,10 +51,7 @@ func TestFingerprintMatrixAcrossBackends(t *testing.T) {
 	} {
 		for _, b := range backendMatrix {
 			t.Run(tc.name+"/"+b.name, func(t *testing.T) {
-				s, err := tc.cfg.Scenario(
-					WithEventQueue(b.policy),
-					WithDenseNeighborIndex(b.dense),
-				)
+				s, err := tc.cfg.Scenario(b.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,26 +72,25 @@ func TestFingerprintMatrixAcrossBackends(t *testing.T) {
 // distance-dependent loss model draws from the channel RNG on every
 // reception, so any backend that perturbed event order or neighbor
 // iteration order would desynchronize the RNG stream and change the
-// outcome. All backends must agree byte-for-byte with each other.
+// outcome. Every arm must agree byte-for-byte with the dense oracle.
 func TestFingerprintMatrixLossyScenario(t *testing.T) {
-	build := func(policy sim.QueuePolicy, dense bool) *Scenario {
+	build := func(backend ...Option) *Scenario {
 		t.Helper()
-		s, err := NewScenario(
+		opts := []Option{
 			WithModel(ModelSensor),
 			WithSenders(5),
 			WithWorkload(CBRWorkload(params.HighRate)),
 			WithLinks(LinkModel{SensorLossAt: DistanceLoss(0, 0.4, 40)}),
 			WithDuration(scenarioDuration),
 			WithSeed(1),
-			WithEventQueue(policy),
-			WithDenseNeighborIndex(dense),
-		)
+		}
+		s, err := NewScenario(append(opts, backend...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	baseline, err := RunScenario(build(sim.QueueHeap, true))
+	baseline, err := RunScenario(build(withDenseNeighborIndex(true)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestFingerprintMatrixLossyScenario(t *testing.T) {
 	want := fingerprint(t, baseline)
 	for _, b := range backendMatrix {
 		t.Run(b.name, func(t *testing.T) {
-			res, err := RunScenario(build(b.policy, b.dense))
+			res, err := RunScenario(build(b.opts...))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,37 +112,32 @@ func TestFingerprintMatrixLossyScenario(t *testing.T) {
 }
 
 // goldenScaling10k pins NewScalingScenario(10000, 2 s): a 100x100 grid
-// at exact 40 m spacing with 100 CBR senders. The pending-event count
-// sits well above sim.CalendarThreshold, so the auto policy runs this
-// on the calendar queue while the explicit heap policy replays it on
-// the 4-ary heap — both must land on this exact hash. Regenerate with:
+// at exact 40 m spacing with 100 CBR senders, run on the lazy index.
+// Regenerate with:
 //
 //	go test ./internal/netsim -run ScalingFingerprint10k -v
 //
 // after any intentional behavior change (and say so in the PR).
 const goldenScaling10k = "5369484b35277d748b7456aa0a767050a2751706429370f1a2dba01e7dac48a6"
 
-// TestScalingFingerprint10kGrid holds the committed large-grid baseline
-// under both queue backends and the lazy index (a 10k-node dense eager
-// index is exactly the O(N^2) table this PR removes, so it is not part
-// of the large matrix).
+// TestScalingFingerprint10kGrid holds the committed large-grid baseline.
+// Its pending set reaches thousands of events, so it pins the heap
+// scheduler at a scale the small golden configs never reach. A
+// 10k-node dense eager index is the O(N^2) table the lazy index
+// replaced, so the dense arm of the matrix is not run here.
 func TestScalingFingerprint10kGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node grid runs take a few seconds")
 	}
-	for _, policy := range []sim.QueuePolicy{sim.QueueAuto, sim.QueueHeap, sim.QueueCalendar} {
-		s, err := NewScalingScenario(10000, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.queuePolicy = policy
-		res, err := RunScenario(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fingerprint(t, res); got != goldenScaling10k {
-			t.Errorf("10k grid fingerprint drifted under policy %d:\n got %s\nwant %s",
-				policy, got, goldenScaling10k)
-		}
+	s, err := NewScalingScenario(10000, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunScenario(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(t, res); got != goldenScaling10k {
+		t.Errorf("10k grid fingerprint drifted:\n got %s\nwant %s", got, goldenScaling10k)
 	}
 }

@@ -137,7 +137,7 @@ func runInstrumented(s *Scenario, probe func(i int, wifi *energy.Meter, on bool)
 		arena.radio.Reset()
 		arenaPool.Put(arena)
 	}()
-	sched := sim.NewSchedulerPolicy(s.seed, s.queuePolicy)
+	sched := sim.NewScheduler(s.seed)
 	recorder := workload.NewRecorder(sched)
 	var tr *trace.Collector
 	if s.traceOn {
