@@ -47,6 +47,30 @@ func TimerReset(b *testing.B) {
 	tm.Stop()
 }
 
+// FanOut measures one radio fan-out: k events scheduled back to back
+// for one instant (k-1 receivers' arrival ends and the sender's tx
+// end, as Channel.start schedules them) and then executed, beside 128
+// pending events far in the future so the heap has depth. One op is
+// one fan-out of k events.
+func FanOut(b *testing.B, k int) {
+	s := sim.NewScheduler(1)
+	fn := func() {}
+	for i := range 128 {
+		s.After(time.Duration(1000+i)*time.Hour, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := s.Now() + time.Millisecond
+		for range k {
+			if _, err := s.Schedule(at, fn); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.RunUntil(at)
+	}
+}
+
 // SimulationThroughput measures raw simulator speed: events per second
 // on one dual-radio run (15 senders, burst 100, 2 Kbps).
 func SimulationThroughput(b *testing.B) {

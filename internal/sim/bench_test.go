@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"bulktx/internal/bench"
@@ -17,3 +18,11 @@ func BenchmarkScheduleCancel(b *testing.B) { bench.ScheduleCancel(b) }
 
 // BenchmarkTimerReset measures the protocol-timer rearm pattern.
 func BenchmarkTimerReset(b *testing.B) { bench.TimerReset(b) }
+
+// BenchmarkFanOut measures one same-instant fan-out of k events: k=4
+// is the grid-20k shape, k=35 a full 36-node broadcast.
+func BenchmarkFanOut(b *testing.B) {
+	for _, k := range []int{4, 35} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) { bench.FanOut(b, k) })
+	}
+}

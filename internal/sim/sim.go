@@ -17,22 +17,37 @@
 //     []*event heap, and the 4-ary layout halves the tree depth,
 //     trading a few extra comparisons per level for far fewer
 //     cache-missing swaps.
+//   - One heap entry holds a run: a maximal sequence of events
+//     scheduled back to back for one instant, such as a radio frame's
+//     arrival ends at every in-range receiver followed by the sender's
+//     tx end. Schedule links a new event onto the previous one when
+//     that one was scheduled for the same instant and its run is still
+//     queued, and pushes a new entry otherwise. A run's members got
+//     consecutive sequence numbers, so no other entry's (time, seq)
+//     key falls between two of them: Step advances the root to the
+//     run's next member in place, with no sift, and pops the entry only
+//     when the run ends. The executed order is exactly that of one
+//     entry per event.
 //   - Callbacks live in a free-list-backed slot table. An EventID is a
 //     handle packing the slot index and a per-slot generation counter,
 //     so Cancel validates in O(1) without a map.
-//   - Cancellation is lazy: Cancel only retires the slot (bumping its
-//     generation); the heap entry stays behind and is discarded when it
-//     surfaces at the root. A stale entry is recognised because the
-//     slot's current sequence number no longer matches — the 64-bit
-//     sequence never wraps, so pop-time liveness checks are exact and
-//     the executed-event order is identical to eager removal.
-//   - When more than half the queue is cancelled debris, the queue is
-//     compacted in place (O(n) filter + re-heapify), bounding memory for
-//     workloads that cancel almost everything they schedule, such as
-//     protocol timers that are reset on every frame.
+//   - Cancellation is lazy: Cancel bumps the slot's generation, so the
+//     EventID goes stale at once, and leaves the queue alone. A
+//     cancelled run of one retires its slot at once; its heap entry is
+//     recognised as debris when it surfaces at the root, because the
+//     slot's sequence number no longer matches (the 64-bit sequence
+//     never wraps, so the check is exact). A cancelled member of a
+//     longer run stays linked, marked dead, and its slot is retired when
+//     the run walks past it.
+//   - When cancelled events outnumber live ones, the queue is compacted
+//     in place: stale entries are dropped, every run is relinked from
+//     its live members, and the heap is re-heapified in O(n). This
+//     bounds memory for workloads that cancel almost everything they
+//     schedule, such as protocol timers that are reset on every frame.
 //
 // The naive reference scheduler in the package tests is the oracle
-// the heap is held to: randomized Schedule/Cancel/Reset/Step scripts,
+// the heap is held to: randomized and fuzzed scripts of schedules,
+// same-instant bursts, cancels, resets, steps and RunUntil calls,
 // including pending sets of several thousand events, must produce the
 // same execution order on both.
 package sim
@@ -62,20 +77,30 @@ type EventID uint64
 // virtual time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
-// event is one value-typed heap entry. The callback is not stored here —
-// heap swaps move 24 bytes, and the entry stays valid even after its
-// slot has been retired (lazy cancellation).
+// event is one value-typed heap entry. It stands for a run: events
+// scheduled back to back for one instant, linked through their slots'
+// next fields. at is the run's instant; seq and slot name the run's
+// current head. The callback is not stored here — heap swaps move 24
+// bytes, and the entry stays valid even after its slot has been
+// retired (lazy cancellation).
 type event struct {
 	at   Time
 	seq  uint64
 	slot uint32
 }
 
-// eventSlot holds the callback and liveness state for one handle.
+// eventSlot holds the callback, liveness state and run link for one
+// handle. A slot lives from Schedule until its event runs or is
+// cancelled, except that a cancelled member of a run of two or more
+// events keeps its slot, marked dead, until the run walks past it or
+// compaction unlinks it.
 type eventSlot struct {
-	fn  func()
-	seq uint64 // sequence of the occupying event; 0 when free
-	gen uint32 // bumped on every retire; validates EventIDs
+	fn   func()
+	seq  uint64 // sequence of the occupying event; 0 when free
+	gen  uint32 // bumped on every cancel and retire; validates EventIDs
+	next uint32 // slot index+1 of the next run member; 0 at the run's end
+	head bool   // first remaining member of its run, named by its heap entry
+	dead bool   // cancelled, still linked into its run
 }
 
 // before reports whether a runs before b in the deterministic
@@ -87,9 +112,10 @@ func (a event) before(b event) bool {
 	return a.seq < b.seq
 }
 
-// compactMinDead is the minimum amount of cancelled debris in the queue
+// compactMinDead is the minimum number of cancelled events in the queue
 // before compaction is considered; below it the O(n) sweep costs more
-// than it saves.
+// than it saves. The trigger counts events, not heap entries, which
+// count runs.
 const compactMinDead = 64
 
 // Scheduler owns the virtual clock and the pending event set.
@@ -97,11 +123,13 @@ const compactMinDead = 64
 // design (determinism).
 type Scheduler struct {
 	now     Time
-	queue   []event     // 4-ary min-heap on (at, seq)
+	queue   []event     // 4-ary min-heap of runs on (at, head seq)
 	slots   []eventSlot // handle table
 	free    []uint32    // retired slot indices, reused LIFO
 	live    int         // scheduled and not yet run or cancelled
-	dead    int         // cancelled entries still buried in queue
+	dead    int         // cancelled events whose entry or slot is still queued
+	tail    uint32      // slot index+1 of the last scheduled event while its run is queued; 0 otherwise
+	tailAt  Time        // timestamp of the tail's run
 	nextSeq uint64
 	rng     *rand.Rand
 	stopped bool
@@ -142,7 +170,16 @@ func (s *Scheduler) Schedule(at Time, fn func()) (EventID, error) {
 	sl := &s.slots[idx]
 	sl.fn = fn
 	sl.seq = seq
-	s.push(event{at: at, seq: seq, slot: idx})
+	if s.tail != 0 && s.tailAt == at {
+		// The tail was scheduled just before, for the same instant, and
+		// its run is queued: nothing can sort between the two.
+		s.slots[s.tail-1].next = idx + 1
+		sl.head = false
+	} else {
+		s.push(event{at: at, seq: seq, slot: idx})
+		sl.head = true
+	}
+	s.tail, s.tailAt = idx+1, at
 	s.live++
 	return EventID(uint64(sl.gen)<<32 | uint64(idx+1)), nil
 }
@@ -163,8 +200,10 @@ func (s *Scheduler) After(d time.Duration, fn func()) EventID {
 
 // Cancel removes a pending event. It reports whether the event was still
 // pending (false if it already ran, was cancelled, or never existed).
-// The heap entry is retired lazily: it is skipped when it reaches the
-// queue head, so Cancel itself is O(1).
+// Removal from the queue is lazy, so Cancel itself is O(1): a run of
+// one retires its slot and leaves the heap entry to be skipped when it
+// reaches the root; a member of a longer run stays linked as a dead
+// member until the run walks past it.
 func (s *Scheduler) Cancel(id EventID) bool {
 	idx := uint32(id & 0xffffffff)
 	if idx == 0 || int(idx) > len(s.slots) {
@@ -174,29 +213,40 @@ func (s *Scheduler) Cancel(id EventID) bool {
 	if sl.seq == 0 || sl.gen != uint32(id>>32) {
 		return false
 	}
-	s.retire(idx - 1)
+	if sl.head && sl.next == 0 {
+		if s.tail == idx {
+			s.tail = 0
+		}
+		s.retire(idx - 1)
+	} else {
+		sl.fn = nil
+		sl.gen++
+		sl.dead = true
+	}
 	s.live--
 	s.dead++
-	if s.dead >= compactMinDead && s.dead > len(s.queue)/2 {
+	if s.dead >= compactMinDead && s.dead > s.live {
 		s.compact()
 	}
 	return true
 }
 
 // retire frees a slot: the callback is released, the occupying sequence
-// cleared (so buried heap entries stop matching) and the generation
+// cleared (so a heap entry naming it stops matching) and the generation
 // bumped (so outstanding EventIDs stop matching).
 func (s *Scheduler) retire(idx uint32) {
 	sl := &s.slots[idx]
 	sl.fn = nil
 	sl.seq = 0
 	sl.gen++
+	sl.next = 0
+	sl.dead = false
 	s.free = append(s.free, idx)
 }
 
 // Pending returns the number of events waiting to run. Cancelled events
-// are never counted, even while their heap entries await lazy discard,
-// and compaction leaves the count unchanged.
+// are never counted, even while their heap entries or run slots await
+// lazy discard, and compaction leaves the count unchanged.
 func (s *Scheduler) Pending() int { return s.live }
 
 // Step executes the earliest pending event, advancing the clock to its
@@ -204,14 +254,18 @@ func (s *Scheduler) Pending() int { return s.live }
 func (s *Scheduler) Step() bool {
 	for len(s.queue) > 0 {
 		e := s.queue[0]
-		live := s.slots[e.slot].seq == e.seq
-		fn := s.slots[e.slot].fn
-		s.pop()
-		if !live {
+		sl := &s.slots[e.slot]
+		if sl.seq != e.seq {
+			s.pop() // a cancelled run of one
 			s.dead--
 			continue
 		}
-		s.retire(e.slot)
+		fn, dead := sl.fn, sl.dead
+		s.consumeHead()
+		if dead {
+			s.dead--
+			continue
+		}
 		s.live--
 		s.now = e.at
 		s.Processed++
@@ -219,6 +273,26 @@ func (s *Scheduler) Step() bool {
 		return true
 	}
 	return false
+}
+
+// consumeHead retires the head of the root run and moves the root to
+// the run's next member in place, or pops the run when it ends. No sift
+// is needed: the members' sequence numbers were consecutive when they
+// were scheduled, so no other entry's (at, seq) key falls between them.
+func (s *Scheduler) consumeHead() {
+	idx := s.queue[0].slot
+	next := s.slots[idx].next
+	if s.tail == idx+1 {
+		s.tail = 0
+	}
+	s.retire(idx)
+	if next == 0 {
+		s.pop()
+		return
+	}
+	n := &s.slots[next-1]
+	n.head = true
+	s.queue[0].seq, s.queue[0].slot = n.seq, next-1
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -249,14 +323,20 @@ func (s *Scheduler) RunUntil(deadline Time) {
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // peek returns the timestamp of the earliest live event, discarding any
-// cancelled debris that has surfaced at the heap root.
+// cancelled events that have surfaced at the heap root: stale entries
+// of cancelled runs of one, and dead heads of longer runs.
 func (s *Scheduler) peek() (Time, bool) {
 	for len(s.queue) > 0 {
 		e := s.queue[0]
-		if s.slots[e.slot].seq == e.seq {
+		sl := &s.slots[e.slot]
+		switch {
+		case sl.seq != e.seq:
+			s.pop()
+		case sl.dead:
+			s.consumeHead()
+		default:
 			return e.at, true
 		}
-		s.pop()
 		s.dead--
 	}
 	return 0, false
@@ -312,18 +392,45 @@ func (s *Scheduler) siftDown(i int, e event) {
 	q[i] = e
 }
 
-// compact filters cancelled entries out of the heap in place and
-// re-heapifies. Sift-downs only reorder by (at, seq) comparisons, so
-// the surviving execution order is unchanged.
+// compact drops every cancelled event from the queue in place and
+// re-heapifies: stale entries are filtered out, and each run is
+// relinked from its live members, retiring its dead ones; a run with
+// none left is dropped. A rebuilt run keeps its instant and its
+// members' sequence numbers, so sift-downs, which only reorder by
+// (at, seq) comparisons, leave the surviving execution order
+// unchanged. The tail is cleared, since its slot may be gone.
 func (s *Scheduler) compact() {
 	kept := s.queue[:0]
 	for _, e := range s.queue {
-		if s.slots[e.slot].seq == e.seq {
-			kept = append(kept, e)
+		if s.slots[e.slot].seq != e.seq {
+			continue
 		}
+		var first, last uint32 // slot index+1
+		for i := e.slot + 1; i != 0; {
+			m := &s.slots[i-1]
+			next := m.next
+			switch {
+			case m.dead:
+				s.retire(i - 1)
+			case first == 0:
+				first, last = i, i
+			default:
+				s.slots[last-1].next = i
+				last = i
+			}
+			i = next
+		}
+		if first == 0 {
+			continue
+		}
+		s.slots[last-1].next = 0
+		h := &s.slots[first-1]
+		h.head = true
+		kept = append(kept, event{at: e.at, seq: h.seq, slot: first - 1})
 	}
 	s.queue = kept
 	s.dead = 0
+	s.tail = 0
 	if len(kept) < 2 {
 		return
 	}

@@ -360,6 +360,84 @@ func TestCancelChurnCompacts(t *testing.T) {
 	}
 }
 
+// One radio fan-out — the receivers' arrival ends and the sender's tx
+// end, scheduled back to back for one instant — occupies a single heap
+// entry and still runs in scheduling order. A schedule for another
+// instant in between ends the run, so the next same-instant schedule
+// starts a new entry.
+func TestFanOutSharesHeapEntry(t *testing.T) {
+	s := NewScheduler(1)
+	var order []int
+	s.After(2*time.Millisecond, func() { order = append(order, -1) })
+	const k = 35
+	for i := range k {
+		s.After(time.Millisecond, func() { order = append(order, i) })
+	}
+	if got := len(s.queue); got != 2 {
+		t.Fatalf("fan-out of %d holds %d heap entries beside the earlier one, want 1", k, got-1)
+	}
+	if got := s.Pending(); got != k+1 {
+		t.Fatalf("Pending() = %d, want %d", got, k+1)
+	}
+	s.After(3*time.Millisecond, func() { order = append(order, -3) })
+	s.After(time.Millisecond, func() { order = append(order, k) })
+	if got := len(s.queue); got != 4 {
+		t.Fatalf("queue holds %d entries, want 4 (interrupted run starts a new entry)", got)
+	}
+	s.Run()
+	want := make([]int, 0, k+3)
+	for i := range k + 1 {
+		want = append(want, i)
+	}
+	want = append(want, -1, -3)
+	if len(order) != len(want) {
+		t.Fatalf("ran %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("ran %v, want %v", order, want)
+		}
+	}
+	if s.Processed != k+3 {
+		t.Errorf("Processed = %d, want %d", s.Processed, k+3)
+	}
+}
+
+// Compaction retires a run's cancelled members, its last one included.
+// A same-instant schedule after that must start a new run rather than
+// link onto the retired slot.
+func TestCompactionRetiresDeadTail(t *testing.T) {
+	s := NewScheduler(1)
+	const k = 3 * compactMinDead
+	var ran []int
+	ids := make([]EventID, k)
+	for i := range k {
+		ids[i] = s.After(time.Millisecond, func() { ran = append(ran, i) })
+	}
+	for i := k - 1; s.dead > 0 || i == k-1; i-- {
+		if !s.Cancel(ids[i]) {
+			t.Fatalf("Cancel(%d) failed", i)
+		}
+	}
+	kept := s.Pending()
+	if len(s.queue) != 1 || kept == 0 || kept == k {
+		t.Fatalf("after compaction: %d entries, %d pending", len(s.queue), kept)
+	}
+	s.After(time.Millisecond, func() { ran = append(ran, k) })
+	if len(s.queue) != 2 {
+		t.Fatalf("schedule after compaction joined the compacted run (%d entries, want 2)", len(s.queue))
+	}
+	s.Run()
+	if len(ran) != kept+1 || ran[kept] != k {
+		t.Fatalf("ran %d events ending %v, want %d ending with %d", len(ran), ran[max(0, len(ran)-3):], kept+1, k)
+	}
+	for i := range kept {
+		if ran[i] != i {
+			t.Fatalf("event %d ran as %d", i, ran[i])
+		}
+	}
+}
+
 func TestTimerFires(t *testing.T) {
 	s := NewScheduler(1)
 	fired := 0
